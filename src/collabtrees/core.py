@@ -134,8 +134,9 @@ def _as_float_column(name: str, values: np.ndarray) -> np.ndarray:
         out = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DataError(f"column {name!r} has non-numeric values") from exc
-    if np.isnan(out).any():
-        raise DataError(f"column {name!r} contains missing values")
+    if not np.isfinite(out).all():
+        kind = "missing" if np.isnan(out).any() else "infinite"
+        raise DataError(f"column {name!r} contains {kind} values")
     return out
 
 
@@ -278,7 +279,13 @@ def read_csv_columns(path) -> dict[str, np.ndarray]:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty CSV") from None
-        rows = list(reader)
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}:{reader.line_num}: {len(row)} fields where the header has {len(header)}"
+                )
+            rows.append(row)
     if not rows:
         raise DataError(f"{path}: CSV has a header but no rows")
     cols = {name: np.array([r[j] for r in rows], dtype=object) for j, name in enumerate(header)}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -88,12 +88,21 @@ def _scan_single_columns_numpy(order, boundary, r, values_t):
     """Vectorized equivalent of :func:`_scan_single_columns`."""
     n_cols, nn = order.shape
     rows = np.arange(n_cols)
-    csum = np.cumsum(r[order], axis=1)
+    csum = np.take(r, order)
+    np.cumsum(csum, axis=1, out=csum)
     tot = csum[:, -1:]
     left = csum[:, :-1]
     ln = np.arange(1, nn, dtype=float)
-    sc = left**2 / ln + (tot - left) ** 2 / (nn - ln) - tot**2 / nn
-    sc[~boundary] = -np.inf
+    # left**2 / ln + (tot - left)**2 / (nn - ln) - tot**2 / nn, evaluated in
+    # the same order with one temporary; right overwrites left once squared.
+    sc = np.square(left)
+    sc /= ln
+    right = np.subtract(tot, left, out=left)
+    np.square(right, out=right)
+    right /= nn - ln
+    sc += right
+    sc -= tot**2 / nn
+    np.putmask(sc, ~boundary, -np.inf)
     has_cut = boundary.any(axis=1)
     t = np.argmax(sc, axis=1)
     val = sc[rows, t]
@@ -170,13 +179,19 @@ class SplitRound:
 
 @dataclass(eq=False)
 class CollabTreesModel:
-    """K additive trees stored as (region constraints, increment) pairs."""
+    """K additive trees stored as (region constraints, increment) pairs.
+
+    ``trees`` is the canonical form.  Prediction walks a compiled copy of it,
+    built on first use and kept in ``_compiled`` together with the ``trees``
+    object it came from; ``dataclasses.replace`` starts a new model without it.
+    """
 
     trees: tuple[tuple[tuple[tuple[Constraint, ...], float], ...], ...]
     rounds: tuple[SplitRound, ...]
     y_mean: float
     n_train: int
     schema: FeatureSchema
+    _compiled: tuple | None = field(default=None, init=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -293,6 +308,7 @@ class _Scorer:
         self.xT_gs = np.ascontiguousarray(x[:, gs_cols].T) if gs_idx else None
         self._gs_rows = np.arange(self.n_gs)
         self._member = np.zeros(self.n, dtype=bool)
+        self._no_cuts = np.full(self.n_groups, np.nan)
 
     def root_cache(self) -> _NodeCache:
         cache = _NodeCache(np.arange(self.n, dtype=np.int32))
@@ -304,7 +320,7 @@ class _Scorer:
             cache.bin_ones = self.x_bin.sum(axis=0)
         if self.n_multi:
             cache.multi_flat = self.labels_off.ravel()
-            cache.multi_counts = np.bincount(cache.multi_flat, minlength=self.multi_total).astype(float)
+            cache.multi_counts = _cell_counts(cache.multi_flat, self.multi_total)
         return cache
 
     def child_cache(self, parent: _NodeCache, rows: np.ndarray) -> _NodeCache:
@@ -324,18 +340,18 @@ class _Scorer:
             cache.bin_ones = self.x_bin[rows].sum(axis=0)
         if self.n_multi:
             cache.multi_flat = self.labels_off[rows].ravel()
-            cache.multi_counts = np.bincount(cache.multi_flat, minlength=self.multi_total).astype(float)
+            cache.multi_counts = _cell_counts(cache.multi_flat, self.multi_total)
         return cache
 
     def score_node(self, cache: _NodeCache, r: np.ndarray):
         """Scores over all groups plus per-group cut values for this node."""
         nn = len(cache.rows)
         scores = np.zeros(self.n_groups)
-        cuts = np.full(self.n_groups, np.nan)
+        cuts = self._no_cuts.copy()
         r_node = r[cache.rows]
-        total = float(r_node.sum())
 
         if self.x_bin is not None:
+            total = float(r_node.sum())
             xb = self.x_bin[cache.rows]
             s1 = r_node @ xb
             n1 = cache.bin_ones
@@ -355,16 +371,19 @@ class _Scorer:
             cuts[self.gs_idx] = cut
 
         if self.n_multi:
-            w = np.broadcast_to(r_node[:, None], (nn, self.n_multi)).ravel()
+            w = r_node.repeat(self.n_multi)
             sums = np.bincount(cache.multi_flat, weights=w, minlength=self.multi_total)
-            ratio = np.divide(
-                sums * sums,
-                cache.multi_counts,
-                out=np.zeros_like(sums),
-                where=cache.multi_counts > 0,
-            )
+            # An empty cell has sum 0 and count inf, so its ratio is 0.
+            ratio = sums * sums / cache.multi_counts
             scores[self.multi_idx] = np.add.reduceat(ratio, self.multi_offsets)
         return scores, cuts
+
+
+def _cell_counts(flat: np.ndarray, total: int) -> np.ndarray:
+    """Rows per one-hot cell as floats, with inf for an empty cell."""
+    counts = np.bincount(flat, minlength=total).astype(float)
+    counts[counts == 0] = np.inf
+    return counts
 
 
 def _score_set(scorer: _Scorer, st: _SetState, r: np.ndarray) -> None:
@@ -478,6 +497,7 @@ def grow(
             owner[cache.rows, st.tree] = -1
 
         cols = scorer.group_columns[mhat]
+        col_ids = cols.tolist()
         drop = 0.0
         updated = 0
         changed_rows = []
@@ -485,18 +505,23 @@ def grow(
         for i, (node, cache) in enumerate(st.items):
             rows = cache.rows
             if len(cols) > 1:
+                # A stable sort by label keeps each child's rows in node order.
                 lab = scorer.labels[rows, scorer.multi_slot[mhat]]
+                ordered = rows[lab.argsort(kind="stable")]
+                counts = np.bincount(lab, minlength=len(cols))
+                ends = counts.cumsum().tolist()
+                counts = counts.tolist()
                 children = [
-                    (rows[lab == j], (int(cols[j]), True, 0.0))
-                    for j in range(len(cols))
-                    if (lab == j).any()
+                    (ordered[end - count : end], (col_ids[j], True, 0.0))
+                    for j, (count, end) in enumerate(zip(counts, ends))
+                    if count
                 ]
             else:
                 c = float(st.cuts[i, mhat])
-                v = x[rows, cols[0]]
+                v = x[rows, col_ids[0]]
                 children = [
-                    (rows[v > c], (int(cols[0]), True, c)),
-                    (rows[v <= c], (int(cols[0]), False, c)),
+                    (rows[v > c], (col_ids[0], True, c)),
+                    (rows[v <= c], (col_ids[0], False, c)),
                 ]
             to_update = [ch for ch in children if len(ch[0]) > hp.min_samples_leaf]
             if len(to_update) < 2:
@@ -523,10 +548,11 @@ def grow(
             SplitRound(s_index, st.tree, mhat, st.parent_round, drop, len(st.items), updated)
         )
         cum_change += math.sqrt(max(drop, 0.0))
-        d = np.concatenate(changed_rows)
-        for sid2 in np.unique(owner[d, :]):
-            if sid2 >= 0:
-                sets[int(sid2)].fresh = False
+        # Mark every set that owns a changed row; -1 (no owner) lands in the last slot.
+        touched = np.zeros(next_id + 1, dtype=bool)
+        touched[owner[np.concatenate(changed_rows)]] = True
+        for sid2 in np.flatnonzero(touched[:-1]).tolist():
+            sets[sid2].fresh = False
         for node, cache, splittable in pending:
             items = []
             for crows, constraint in splittable:
@@ -553,21 +579,70 @@ def grow(
     )
 
 
+def _compile(trees) -> tuple[tuple, ...]:
+    """Flat per-node arrays (parent, column, greater, threshold, value) of all trees.
+
+    One node per increment, tree after tree, each tree in its list order, so a
+    row meets its increments in the order the trees list them.  A node tests
+    only its last constraint, on the rows that reached its parent (-1: the
+    root).  A path prefix that no earlier increment of its tree carries gets a
+    node of its own with value None; an increment on the empty path has
+    column -1 and passes every row.
+    """
+    parent, column, greater, threshold, value = [], [], [], [], []
+
+    def add(at, constraint, v):
+        col, gt, thr = constraint
+        parent.append(at)
+        column.append(int(col))
+        greater.append(bool(gt))
+        threshold.append(float(thr))
+        value.append(v)
+        return len(parent) - 1
+
+    for tree in trees:
+        index = {(): -1}
+        for constraints, v in tree:
+            path = tuple(map(tuple, constraints))
+            if not path:
+                add(-1, (-1, False, 0.0), float(v))
+                continue
+            # Grown trees list every prefix first, so one lookup settles it.
+            if path[:-1] not in index:
+                for k in range(1, len(path)):
+                    if path[:k] not in index:
+                        index[path[:k]] = add(index[path[: k - 1]], path[k - 1], None)
+            index[path] = add(index[path[:-1]], path[-1], float(v))
+    return tuple(parent), tuple(column), tuple(greater), tuple(threshold), tuple(value)
+
+
 def predict_model(model: CollabTreesModel, x: np.ndarray) -> np.ndarray | float:
-    """Sum of per-tree increments over regions containing each query row."""
+    """Sum of per-tree increments over regions containing each query row.
+
+    Walks the model's compiled nodes in order, passing each node only the row
+    indices that reached its parent, so a row costs about one root-to-leaf
+    path per tree whether it comes alone or in a batch.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[None, :]
     if x.shape[1] != model.schema.n_columns:
         raise DataError("query width does not match the model schema")
+    cache = model._compiled
+    if cache is None or cache[0] is not model.trees:
+        cache = model._compiled = (model.trees, _compile(model.trees))
     out = np.full(x.shape[0], model.y_mean)
-    for tree in model.trees:
-        for constraints, value in tree:
-            mask = np.ones(x.shape[0], dtype=bool)
-            for col, greater, thr in constraints:
-                mask &= (x[:, col] > thr) if greater else (x[:, col] <= thr)
-            out[mask] += value
+    everything = np.arange(x.shape[0])
+    reached = []
+    for at, col, gt, thr, v in zip(*cache[1]):
+        rows = everything if at < 0 else reached[at]
+        if col >= 0 and rows.size:
+            vals = x[rows, col]
+            rows = rows[vals > thr] if gt else rows[vals <= thr]
+        reached.append(rows)
+        if v is not None and rows.size:
+            out[rows] += v
     return float(out[0]) if single else out
 
 
@@ -619,6 +694,8 @@ def grow_ensemble(
     Member ``b`` draws a size-n bootstrap with an RNG derived from
     ``(seed, b)``, so results are identical whatever the worker count.
     """
+    if threads < 1:
+        raise ConfigError("threads must be at least 1")
     if seed is None:
         seed = hp.seed
     B = hp.n_estimators

@@ -200,3 +200,41 @@ def test_unknown_hp_flag_rejected(tmp_path, toy):
     with pytest.raises(SystemExit):
         run("train", "--input", data, "--schema", roles,
             "--output", tmp_path / "m.json", "--hp.bogus", 3)
+
+
+def _single_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return err[0]
+
+
+@pytest.mark.parametrize("bad_row,column", [("1.5,inf", "y"), ("-inf,3", "x")],
+                         ids=["response", "feature"])
+def test_train_rejects_infinite_values(tmp_path, capsys, bad_row, column):
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(["x,y", "0.5,1", "1.5,2", "2.5,3", bad_row]) + "\n")
+    roles = tmp_path / "roles.txt"
+    roles.write_text("x = continuous\ny = response\n")
+    assert run("train", "--input", data, "--schema", roles, "--output", tmp_path / "m.json") == 2
+    line = _single_error_line(capsys)
+    assert line.startswith("error:data:")
+    assert f"column {column!r}" in line and "infinite" in line
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_short_csv_row_reports_its_line(tmp_path, capsys, toy):
+    _, roles = toy
+    data = tmp_path / "short.csv"
+    data.write_text("x,y\n0,1\n1\n1,3\n")
+    assert run("train", "--input", data, "--schema", roles, "--output", tmp_path / "m.json") == 2
+    line = _single_error_line(capsys)
+    assert line.startswith("error:data:")
+    assert f"{data}:3:" in line
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_train_rejects_nonpositive_threads(tmp_path, capsys, toy, threads):
+    data, roles = toy
+    assert run("train", "--input", data, "--schema", roles, "--output", tmp_path / "m.json",
+               "--threads", threads) == 2
+    assert _single_error_line(capsys).startswith("error:config:")

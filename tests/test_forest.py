@@ -254,6 +254,13 @@ def test_grow_ensemble_parallel_matches_serial():
         assert m1.rounds == m2.rounds
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_grow_ensemble_rejects_nonpositive_threads(threads):
+    ds = binary_dataset([[0.0], [0.0], [1.0], [1.0]], [-1.0, -1.0, 1.0, 1.0])
+    with pytest.raises(ConfigError, match="threads"):
+        grow_ensemble(ds, binary_schema(1), Hyperparams(n_estimators=2), threads=threads)
+
+
 def test_ensemble_of_identical_members_predicts_like_one():
     ds = binary_dataset([[0.0], [0.0], [1.0], [1.0]], [-1.0, -1.0, 1.0, 1.0])
     hp = Hyperparams(n_estimators=1, n_trees=1, min_samples_leaf=0, min_samples_split=1, seed=0)
