@@ -130,8 +130,10 @@ def bin_index(values: np.ndarray, edges: tuple[float, ...]) -> np.ndarray:
 
 
 def _as_float_column(name: str, values: np.ndarray) -> np.ndarray:
+    # A contiguous copy of a strided column (a view of a wider matrix) makes
+    # the checks below, and the caller's, one fast pass each.
     try:
-        out = np.asarray(values, dtype=float)
+        out = np.ascontiguousarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DataError(f"column {name!r} has non-numeric values") from exc
     if not np.isfinite(out).all():
@@ -222,7 +224,7 @@ def encode_features(table: dict[str, np.ndarray], schema: FeatureSchema) -> np.n
         values = table[g.name]
         if g.kind == KIND_BINARY or g.kind == KIND_CONTINUOUS:
             col = _as_float_column(g.name, values)
-            if g.kind == KIND_BINARY and not np.isin(np.unique(col), (0.0, 1.0)).all():
+            if g.kind == KIND_BINARY and not ((col == 0.0) | (col == 1.0)).all():
                 raise DataError(f"binary column {g.name!r} has values outside {{0, 1}}")
             x[:, g.column_indices[0]] = col
         elif g.kind == KIND_BINNED:

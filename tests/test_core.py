@@ -152,6 +152,15 @@ def test_encode_unseen_level_rejected():
         encode_features({"c": np.array(["a", "z"])}, schema)
 
 
+@pytest.mark.parametrize("bad", [0.5, 2.0])
+def test_encode_binary_column_outside_zero_one_rejected(bad):
+    table = {"b": np.array([0.0, 1.0, 1.0]), "y": np.zeros(3)}
+    schema = build_schema(table, {"b": "binary", "y": "response"})
+    assert encode_features({"b": np.array([1.0, 0.0, 1.0])}, schema)[:, 0].tolist() == [1.0, 0.0, 1.0]
+    with pytest.raises(DataError, match=r"binary column 'b' has values outside \{0, 1\}"):
+        encode_features({"b": np.array([0.0, bad, 1.0])}, schema)
+
+
 def test_encode_missing_response_rejected():
     table = {"x": np.array([0, 1]), "y": np.array([1.0, np.nan])}
     schema = build_schema(table, {"x": "binary", "y": "response"})
