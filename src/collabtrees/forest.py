@@ -229,8 +229,7 @@ class _NodeCache:
     shared matrix, kept when there are 0/1 columns to read from it.
     """
 
-    __slots__ = ("rows", "x_rows", "gs_order", "gs_boundary", "bin_ones", "multi_flat",
-                 "multi_counts")
+    __slots__ = ("rows", "x_rows", "gs_order", "gs_boundary", "bin_ones")
 
     def __init__(self, rows):
         self.rows = rows
@@ -238,20 +237,35 @@ class _NodeCache:
         self.gs_order = None
         self.gs_boundary = None
         self.bin_ones = None
-        self.multi_flat = None
-        self.multi_counts = None
+
+
+class _SetCells:
+    """Scoring state of a whole set, built once when the set is enqueued,
+    since a set's rows never change.
+
+    ``rows`` are the nodes' rows end to end.  ``flat`` holds every row's
+    one-hot cell ids, shifted by ``multi_total`` per node, so that one
+    bincount sums the cells of every node; ``counts`` are the cells' row
+    counts (inf when empty) and ``starts`` the first cell of each
+    (node, group) segment.  ``sizes`` are the node sizes; ``n1`` and ``n0``
+    the (node, 0/1 column) counts of ones and zeros, and ``ok`` where both
+    are positive.
+    """
+
+    __slots__ = ("rows", "flat", "counts", "starts", "sizes", "n1", "n0", "ok")
 
 
 class _SetState:
-    __slots__ = ("sid", "tree", "depth", "parent_round", "items", "scores", "cuts",
+    __slots__ = ("sid", "tree", "depth", "parent_round", "items", "cells", "scores", "cuts",
                  "max_score", "fresh", "cum_at")
 
-    def __init__(self, sid, tree, depth, parent_round, items):
+    def __init__(self, sid, tree, depth, parent_round, items, cells):
         self.sid = sid
         self.tree = tree
         self.depth = depth
         self.parent_round = parent_round
         self.items = items  # list of (NodeRef, _NodeCache)
+        self.cells = cells  # _SetCells, or None when every column is scanned
         self.scores = None
         self.cuts = None
         self.max_score = -math.inf
@@ -269,6 +283,17 @@ class _SetState:
 _PRODUCT_SHARE = 4
 
 
+# The argmax bound holds in exact arithmetic.  Computed scores carry rounding
+# error of up to about n * eps times the residual sum of squares (sums of up
+# to n residuals, squared), and the running norm of residual changes absorbs
+# changes below its last bit.  Without a margin, once every score is rounding
+# noise, a stale set's bound can fall an ulp short of an exact tie with the
+# best, and the tie goes unseen.  A stale set is left unscored only when its
+# bound falls short of the best by more than this share of the initial sum of
+# squares, which covers n * eps for n up to about 4 million rows.
+_PRUNE_MARGIN = 1e-9
+
+
 def _columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``x[:, cols]``, as a view when ``cols`` is one ascending run."""
     if cols.size and (np.diff(cols) == 1).all():
@@ -281,11 +306,11 @@ class _Scorer:
 
     ``sample`` holds the member's rows as indices into ``x`` (a bootstrap
     repeats some); a node's ``rows`` index into ``sample``.  Columns are
-    handled by family: one-hot groups through offset bincounts, 0/1 single
-    columns through matrix-vector products on the shared matrix, and general
-    single columns through cached per-column sort orders with a
-    cumulative-sum scan.  A single column counts as 0/1 when it holds only 0
-    and 1 on the member's rows.
+    handled by family: one-hot groups through one offset bincount per set,
+    0/1 single columns through per-node matrix-vector products on the shared
+    matrix, and general single columns through cached per-column sort orders
+    with a per-node cumulative-sum scan.  A single column counts as 0/1 when
+    it holds only 0 and 1 on the member's rows.
     """
 
     def __init__(self, x: np.ndarray, schema: FeatureSchema, sample: np.ndarray | None = None):
@@ -340,7 +365,10 @@ class _Scorer:
         self.xT_gs = np.ascontiguousarray(x[np.ix_(self.sample, gs_cols)].T) if self.n_gs else None
         self._gs_rows = np.arange(self.n_gs)
         self._member = np.zeros(self.n, dtype=bool)
-        self._no_cuts = np.full(self.n_groups, np.nan)
+        # Cut row of a node before its scan: 0/1 columns cut at 0, one-hot
+        # groups have none.
+        self._cut_row = np.full(self.n_groups, np.nan)
+        self._cut_row[self.bin_idx] = 0.0
 
     def root_cache(self) -> _NodeCache:
         cache = _NodeCache(np.arange(self.n, dtype=np.int32))
@@ -351,9 +379,6 @@ class _Scorer:
         if self.x_bin is not None:
             cache.x_rows = self.sample
             cache.bin_ones = self._bin_sums(cache.x_rows)
-        if self.n_multi:
-            cache.multi_flat = self.labels_off.ravel()
-            cache.multi_counts = _cell_counts(cache.multi_flat, self.multi_total)
         return cache
 
     def child_cache(self, parent: _NodeCache, rows: np.ndarray) -> _NodeCache:
@@ -372,43 +397,79 @@ class _Scorer:
         if self.x_bin is not None:
             cache.x_rows = self.sample[rows]
             cache.bin_ones = self._bin_sums(cache.x_rows)
-        if self.n_multi:
-            cache.multi_flat = self.labels_off[rows].ravel()
-            cache.multi_counts = _cell_counts(cache.multi_flat, self.multi_total)
         return cache
 
-    def score_node(self, cache: _NodeCache, r: np.ndarray):
-        """Scores over all groups plus per-group cut values for this node."""
-        nn = len(cache.rows)
-        scores = np.zeros(self.n_groups)
-        cuts = self._no_cuts.copy()
-        r_node = r[cache.rows]
-
+    def set_cells(self, caches: Sequence[_NodeCache]) -> _SetCells | None:
+        """The set's :class:`_SetCells`; None when every column is scanned."""
+        if not self.n_multi and self.x_bin is None:
+            return None
+        cells = _SetCells()
+        n_nodes = len(caches)
+        cells.sizes = [len(c.rows) for c in caches]
+        if self.n_multi:
+            shift = np.arange(n_nodes) * self.multi_total
+            cells.rows = caches[0].rows if n_nodes == 1 else np.concatenate([c.rows for c in caches])
+            flat = self.labels_off[cells.rows]
+            if n_nodes > 1:
+                flat += np.repeat(shift, cells.sizes)[:, None]
+            cells.flat = flat.ravel()
+            cells.counts = _cell_counts(cells.flat, n_nodes * self.multi_total)
+            cells.starts = (shift[:, None] + self.multi_offsets).ravel()
         if self.x_bin is not None:
-            total = float(r_node.sum())
-            s1 = self._bin_sums(cache.x_rows, r_node)
-            n1 = cache.bin_ones
-            n0 = nn - n1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = s1**2 / n1 + (total - s1) ** 2 / n0 - total**2 / nn
-            ok = (n1 > 0) & (n0 > 0)
-            scores[self.bin_idx] = np.where(ok, np.maximum(val, 0.0), 0.0)
-            cuts[self.bin_idx] = 0.0
+            cells.n1 = np.array([c.bin_ones for c in caches])
+            cells.n0 = np.array(cells.sizes)[:, None] - cells.n1
+            cells.ok = (cells.n1 > 0) & (cells.n0 > 0)
+        return cells
 
+    def score_node(self, cache: _NodeCache, r: np.ndarray, scores: np.ndarray, cuts: np.ndarray):
+        """The per-node step of a set scoring.
+
+        Writes the scan's scores and cuts of this node into ``scores`` and
+        ``cuts``, its rows of the set's matrices.  Returns the node's residual
+        total and its residual sums per 0/1 column, or None without 0/1
+        columns.  These sums stay per node: summed over all nodes at once
+        they would be rounded in another order.
+        """
         if self.n_gs:
-            if nn >= 2:
+            if len(cache.rows) >= 2:
                 val, cut = _single_column_scan(cache.gs_order, cache.gs_boundary, r, self.xT_gs)
                 scores[self.gs_idx] = val
             else:
                 cut = self.xT_gs[self._gs_rows, cache.gs_order[:, 0]]
             cuts[self.gs_idx] = cut
+        if self.x_bin is None:
+            return None
+        r_node = r[cache.rows]
+        return float(r_node.sum()), self._bin_sums(cache.x_rows, r_node)
+
+    def score_nodes(self, caches: Sequence[_NodeCache], cells: _SetCells | None, r: np.ndarray):
+        """(node, group) scores and cuts of a set's nodes.
+
+        The scan and the 0/1 sums run node by node; the 0/1 score formula
+        runs once over the (node, 0/1 column) block, and the one-hot cells of
+        every node are summed with one bincount and reduced with one reduceat.
+        """
+        n_nodes = len(caches)
+        scores = np.zeros((n_nodes, self.n_groups))
+        cuts = np.empty((n_nodes, self.n_groups))
+        cuts[:] = self._cut_row
+        sums = [self.score_node(c, r, scores[i], cuts[i]) for i, c in enumerate(caches)]
+
+        if self.x_bin is not None:
+            total = np.array([[t] for t, _ in sums])
+            # Python floats, so that t**2 goes through pow as it did per node.
+            base = np.array([[t**2 / nn] for (t, _), nn in zip(sums, cells.sizes)])
+            s1 = np.array([s for _, s in sums])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = s1**2 / cells.n1 + (total - s1) ** 2 / cells.n0 - base
+            scores[:, self.bin_idx] = np.where(cells.ok, np.maximum(val, 0.0), 0.0)
 
         if self.n_multi:
-            w = r_node.repeat(self.n_multi)
-            sums = np.bincount(cache.multi_flat, weights=w, minlength=self.multi_total)
+            w = r[cells.rows].repeat(self.n_multi)
+            cell_sums = np.bincount(cells.flat, weights=w, minlength=len(cells.counts))
             # An empty cell has sum 0 and count inf, so its ratio is 0.
-            ratio = sums * sums / cache.multi_counts
-            scores[self.multi_idx] = np.add.reduceat(ratio, self.multi_offsets)
+            ratio = cell_sums * cell_sums / cells.counts
+            scores[:, self.multi_idx] = np.add.reduceat(ratio, cells.starts).reshape(n_nodes, -1)
         return scores, cuts
 
     def _bin_sums(self, x_rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -428,15 +489,12 @@ def _cell_counts(flat: np.ndarray, total: int) -> np.ndarray:
 
 
 def _score_set(scorer: _Scorer, st: _SetState, r: np.ndarray) -> None:
-    scores = np.zeros(scorer.n_groups)
-    cuts = np.empty((len(st.items), scorer.n_groups))
-    for i, (_, cache) in enumerate(st.items):
-        sc, ct = scorer.score_node(cache, r)
-        scores += sc
-        cuts[i] = ct
-    st.scores = scores
+    """Score a set: per group, the sum of its nodes' scores in node order."""
+    scores, cuts = scorer.score_nodes([cache for _, cache in st.items], st.cells, r)
+    # np.add.reduce may pair the rows up; accumulate adds them in order.
+    st.scores = scores[0] if len(scores) == 1 else np.add.accumulate(scores, axis=0)[-1]
     st.cuts = cuts
-    st.max_score = float(scores.max())
+    st.max_score = float(st.scores.max())
     st.fresh = True
 
 
@@ -468,16 +526,18 @@ def grow(
     sets: dict[int, _SetState] = {}
     owner = np.full((n, K), -1, dtype=np.int32)
     root = scorer.root_cache()
+    root_cells = scorer.set_cells([root])
     next_id = 0
     for k in range(K):
         node = NodeRef(k, 0, root.rows, (), None)
-        sets[next_id] = _SetState(next_id, k, 0, None, [(node, root)])
+        sets[next_id] = _SetState(next_id, k, 0, None, [(node, root)], root_cells)
         owner[:, k] = next_id
         next_id += 1
 
     log: list[SplitRound] = []
     trees: list[list] = [[] for _ in range(K)]
     cum_change = 0.0  # running sum of residual-update norms, for score bounds
+    margin = _PRUNE_MARGIN * float(r @ r)
 
     while sets:
         ids = list(sets.keys())
@@ -498,7 +558,8 @@ def grow(
             # Every candidate score is a squared projection norm of the
             # residuals, so its square root moves by at most the norm of the
             # residual change.  A stale set whose bound falls below the best
-            # current candidate cannot win the argmax and stays unscored.
+            # current candidate (by more than ``margin``) cannot win the
+            # argmax and stays unscored.
             best = -math.inf
             for sid in allowed:
                 if sets[sid].fresh and sets[sid].max_score > best:
@@ -515,7 +576,7 @@ def grow(
                     stale.append((ub, sid))
             stale.sort(reverse=True)
             for ub, sid in stale:
-                if ub < best:
+                if ub + margin < best:
                     break
                 _score_set(scorer, sets[sid], r)
                 sets[sid].cum_at = cum_change
@@ -613,7 +674,8 @@ def grow(
                     s_index,
                 )
                 items.append((cnode, ccache))
-            sets[next_id] = _SetState(next_id, st.tree, node.depth + 1, s_index, items)
+            cells = scorer.set_cells([cc for _, cc in items])
+            sets[next_id] = _SetState(next_id, st.tree, node.depth + 1, s_index, items, cells)
             for _, cc in items:
                 owner[cc.rows, st.tree] = next_id
             next_id += 1

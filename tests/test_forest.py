@@ -13,6 +13,8 @@ from collabtrees.forest import (
     EnsembleModel,
     Hyperparams,
     _Scorer,
+    _score_set,
+    _SetState,
     children_valid_for_update,
     grow,
     grow_ensemble,
@@ -177,6 +179,13 @@ def test_root_first_ordering():
         assert rounds[r.parent_round - 1].parent_round is None
 
 
+def score_one_node(scorer, cache, r):
+    """Scores and cuts of one node, scored as a set of its own."""
+    st = _SetState(0, 0, 0, None, [(None, cache)], scorer.set_cells([cache]))
+    _score_set(scorer, st, r)
+    return st.scores, st.cuts[0]
+
+
 def test_engine_scores_match_scalar_splitter():
     rng = np.random.default_rng(11)
     n = 120
@@ -197,7 +206,7 @@ def test_engine_scores_match_scalar_splitter():
     child_rows = np.flatnonzero(ds.x[:, schema.groups[0].column_indices[0]] == 1.0).astype(np.int32)
     child = scorer.child_cache(root, child_rows)
     for cache, rows in ((root, np.arange(n)), (child, child_rows)):
-        scores, cuts = scorer.score_node(cache, r)
+        scores, cuts = score_one_node(scorer, cache, r)
         for m, g in enumerate(schema.groups):
             if g.size > 1:
                 want = split_score_group(ds.x, r, rows, g.column_indices)
@@ -316,7 +325,7 @@ def test_scores_match_scalar_splitter_on_both_sides_of_the_product_gate(kind, bo
         (small, scorer.child_cache(root, small)),
     ):
         assert np.array_equal(cache.bin_ones, x[np.ix_(rows, bin_cols)].sum(axis=0))
-        scores, cuts = scorer.score_node(cache, r)
+        scores, cuts = score_one_node(scorer, cache, r)
         for m, g in enumerate(schema.groups):
             if g.size > 1:
                 want = split_score_group(x, r, rows, g.column_indices)
