@@ -250,8 +250,18 @@ def encode(table: dict[str, np.ndarray], schema: FeatureSchema) -> EncodedDatase
     y_raw = _as_float_column(schema.response, table[schema.response])
     features = {k: v for k, v in table.items() if k != schema.response}
     x = encode_features(features, schema)
-    y_mean = float(np.mean(y_raw))
-    return EncodedDataset(x=x, y=y_raw - y_mean, y_mean=y_mean)
+    # n * sum((y - mean)^2) bounds the square of every partial residual sum a
+    # split score forms; past the float range scores turn into inf and NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_mean = float(np.mean(y_raw))
+        y = y_raw - y_mean
+        spread = len(y) * float(y @ y)
+    if not math.isfinite(spread):
+        raise DataError(
+            f"response column {schema.response!r} is too large in magnitude: "
+            "n times its sum of squared deviations overflows"
+        )
+    return EncodedDataset(x=x, y=y, y_mean=y_mean)
 
 
 def decode_group(schema: FeatureSchema, group_index: int, x_row: np.ndarray):

@@ -1,11 +1,12 @@
 """Growing K collaborative trees: scheduling, node validity, bagging, prediction.
 
 Training keeps a list of associated-node sets awaiting update.  Every round
-scores each candidate (set, group) pair, picks one by penalized argmax or
-softmax sampling, splits the chosen set's nodes on the chosen group, and adds
-within-child residual means to the owning tree.  Root sets go first, then
-depth-one sets; after the first ``2K`` completed updates only a random subset
-of the list is scored.
+scores each candidate (set, group) pair, picks one by argmax or softmax
+sampling (:func:`_select`) among the sets the update priority allows
+(:func:`_allowed`: root sets first, then depth-one sets), splits the chosen
+set's nodes on the chosen group, and adds within-child residual means to the
+owning tree.  After the first ``2K`` completed updates only a random subset of
+the list is scored.
 
 Scores depend on residuals only through the rows inside a set, so each set's
 score vector is cached and recomputed lazily when an update touches its rows.
@@ -27,7 +28,6 @@ import numpy as np
 
 from .core import EncodedDataset, FeatureSchema
 from .errors import ConfigError, DataError, SchemaError
-from .splitter import Constraint, NodeRef, priority_penalties
 
 try:
     from numba import njit
@@ -116,6 +116,8 @@ def _scan_single_columns_numpy(order, boundary, r, values_t):
 
 
 _single_column_scan = _scan_single_columns if _HAVE_NUMBA else _scan_single_columns_numpy
+
+Constraint = tuple[int, bool, float]  # (column, is_greater, threshold)
 
 __all__ = [
     "Hyperparams",
@@ -207,31 +209,61 @@ class EnsembleModel:
     n_train: int
 
 
-def node_valid_for_split(node: NodeRef, hp: Hyperparams) -> bool:
-    """A node may be split while shallower than max_depth and strictly larger
-    than both sample-count thresholds."""
-    return node.depth < hp.max_depth and node.size > max(
-        hp.min_samples_split, hp.min_samples_leaf
-    )
+def node_valid_for_split(size: int, depth: int, hp: Hyperparams) -> bool:
+    """A node of ``size`` rows at ``depth`` may be split while shallower than
+    max_depth and strictly larger than both sample-count thresholds.
+
+    ``grow`` applies this to every child it enqueues; the roots are enqueued
+    whatever their size.
+    """
+    return depth < hp.max_depth and size > max(hp.min_samples_split, hp.min_samples_leaf)
 
 
-def children_valid_for_update(children: Sequence[NodeRef], hp: Hyperparams) -> tuple:
-    """Children that receive tree increments: all larger than
-    min_samples_leaf, provided at least two qualify; otherwise none."""
-    valid = tuple(c for c in children if c.size > hp.min_samples_leaf)
+def children_valid_for_update(sizes: Sequence[int], hp: Hyperparams) -> tuple[int, ...]:
+    """Positions of the children, given their sizes, that receive tree
+    increments: all larger than min_samples_leaf, provided at least two
+    qualify; otherwise none, and the split is abandoned."""
+    valid = tuple(i for i, size in enumerate(sizes) if size > hp.min_samples_leaf)
     return valid if len(valid) >= 2 else ()
 
 
-class _NodeCache:
-    """Per-node scoring state: rows, per-column sort orders, fixed counts.
+def _allowed(depths: np.ndarray) -> np.ndarray:
+    """Update priority over candidate sets of these depths: root sets first,
+    then depth-one sets, then every deeper set alike.  True where a set may be
+    chosen this round; at least one always is."""
+    level = np.minimum(depths, 2)
+    return level == level.min()
 
+
+def _select(scores: np.ndarray, alpha: float, rng: np.random.Generator) -> int:
+    """Flat index of the (set, group) pair chosen from a (set, group) score matrix.
+
+    With ``alpha = inf`` one of the maximizers, uniformly, in (set, group)
+    order; otherwise a draw with probability ``exp(alpha * score)``
+    normalized, computed relative to the largest score.
+    """
+    s = scores.ravel()
+    if math.isinf(alpha):
+        ties = np.flatnonzero(s == s.max())
+        return int(ties[rng.integers(len(ties))])
+    p = np.exp(alpha * (s - s.max()))
+    p /= p.sum()
+    return int(rng.choice(p.size, p=p))
+
+
+class _NodeCache:
+    """One node: its region and per-node scoring state (rows, per-column sort
+    orders, fixed counts).
+
+    ``path`` is the node's region, the constraints from the root down;
     ``rows`` index the member's sample; ``x_rows`` are the same rows of the
     shared matrix, kept when there are 0/1 columns to read from it.
     """
 
-    __slots__ = ("rows", "x_rows", "gs_order", "gs_boundary", "bin_ones")
+    __slots__ = ("path", "rows", "x_rows", "gs_order", "gs_boundary", "bin_ones")
 
     def __init__(self, rows):
+        self.path: tuple[Constraint, ...] = ()
         self.rows = rows
         self.x_rows = None
         self.gs_order = None
@@ -256,6 +288,9 @@ class _SetCells:
 
 
 class _SetState:
+    """A set of sibling nodes awaiting update (a root alone, or the children
+    of one split), with its cached (group) scores and per-node cuts."""
+
     __slots__ = ("sid", "tree", "depth", "parent_round", "items", "cells", "scores", "cuts",
                  "max_score", "fresh", "cum_at")
 
@@ -264,7 +299,7 @@ class _SetState:
         self.tree = tree
         self.depth = depth
         self.parent_round = parent_round
-        self.items = items  # list of (NodeRef, _NodeCache)
+        self.items = items  # list of _NodeCache
         self.cells = cells  # _SetCells, or None when every column is scanned
         self.scores = None
         self.cuts = None
@@ -490,7 +525,7 @@ def _cell_counts(flat: np.ndarray, total: int) -> np.ndarray:
 
 def _score_set(scorer: _Scorer, st: _SetState, r: np.ndarray) -> None:
     """Score a set: per group, the sum of its nodes' scores in node order."""
-    scores, cuts = scorer.score_nodes([cache for _, cache in st.items], st.cells, r)
+    scores, cuts = scorer.score_nodes(st.items, st.cells, r)
     # np.add.reduce may pair the rows up; accumulate adds them in order.
     st.scores = scores[0] if len(scores) == 1 else np.add.accumulate(scores, axis=0)[-1]
     st.cuts = cuts
@@ -519,7 +554,6 @@ def grow(
     if schema.n_columns != x.shape[1]:
         raise SchemaError("schema does not match the encoded matrix width")
     K = hp.n_trees
-    split_min = max(hp.min_samples_split, hp.min_samples_leaf)
     scorer = _Scorer(x, schema, sample)
     r = np.asarray(dataset.y, dtype=float)[scorer.sample]
 
@@ -529,8 +563,7 @@ def grow(
     root_cells = scorer.set_cells([root])
     next_id = 0
     for k in range(K):
-        node = NodeRef(k, 0, root.rows, (), None)
-        sets[next_id] = _SetState(next_id, k, 0, None, [(node, root)], root_cells)
+        sets[next_id] = _SetState(next_id, k, 0, None, [root], root_cells)
         owner[:, k] = next_id
         next_id += 1
 
@@ -551,8 +584,8 @@ def grow(
                 pos = np.sort(rng.choice(len(ids), size=m, replace=False))
                 cand_ids = [ids[i] for i in pos]
 
-        pens = priority_penalties(np.array([sets[sid].depth for sid in cand_ids]))
-        allowed = [sid for sid, p in zip(cand_ids, pens) if p == 0.0]
+        depths = np.array([sets[sid].depth for sid in cand_ids])
+        allowed = [sid for sid, ok in zip(cand_ids, _allowed(depths)) if ok]
 
         if math.isinf(hp.alpha):
             # Every candidate score is a squared projection norm of the
@@ -582,27 +615,17 @@ def grow(
                 sets[sid].cum_at = cum_change
                 if sets[sid].max_score > best:
                     best = sets[sid].max_score
-            ties = []
-            for sid in allowed:
-                st = sets[sid]
-                if st.fresh and st.max_score == best:
-                    for g in np.flatnonzero(st.scores == best):
-                        ties.append((sid, int(g)))
-            sid, mhat = ties[int(rng.integers(len(ties)))]
         else:
             for sid in allowed:
                 if not sets[sid].fresh:
                     _score_set(scorer, sets[sid], r)
                     sets[sid].cum_at = cum_change
-            mat = np.stack([sets[sid].scores for sid in allowed])
-            z = hp.alpha * (mat.ravel() - mat.max())
-            p = np.exp(z)
-            p /= p.sum()
-            flat = int(rng.choice(p.size, p=p))
-            sid, mhat = allowed[flat // scorer.n_groups], flat % scorer.n_groups
+        fresh = [sid for sid in allowed if sets[sid].fresh]
+        flat = _select(np.stack([sets[sid].scores for sid in fresh]), hp.alpha, rng)
+        sid, mhat = fresh[flat // scorer.n_groups], flat % scorer.n_groups
 
         st = sets.pop(sid)
-        for _, cache in st.items:
+        for cache in st.items:
             owner[cache.rows, st.tree] = -1
 
         cols = scorer.group_columns[mhat]
@@ -611,7 +634,7 @@ def grow(
         updated = 0
         changed_rows = []
         pending = []
-        for i, (node, cache) in enumerate(st.items):
+        for i, cache in enumerate(st.items):
             rows = cache.rows
             if len(cols) > 1:
                 # A stable sort by label keeps each child's rows in node order.
@@ -621,7 +644,7 @@ def grow(
                 ends = counts.cumsum().tolist()
                 counts = counts.tolist()
                 children = [
-                    (ordered[end - count : end], (col_ids[j], True, 0.0))
+                    (ordered[end - count : end], cache.path + ((col_ids[j], True, 0.0),))
                     for j, (count, end) in enumerate(zip(counts, ends))
                     if count
                 ]
@@ -629,26 +652,25 @@ def grow(
                 c = float(st.cuts[i, mhat])
                 v = x[scorer.sample[rows], col_ids[0]]
                 children = [
-                    (rows[v > c], (col_ids[0], True, c)),
-                    (rows[v <= c], (col_ids[0], False, c)),
+                    (rows[v > c], cache.path + ((col_ids[0], True, c),)),
+                    (rows[v <= c], cache.path + ((col_ids[0], False, c),)),
                 ]
-            to_update = [ch for ch in children if len(ch[0]) > hp.min_samples_leaf]
-            if len(to_update) < 2:
+            valid = children_valid_for_update([len(crows) for crows, _ in children], hp)
+            if not valid:
                 continue  # split abandoned: no increment, children not enqueued
-            updated += len(to_update)
-            for crows, constraint in to_update:
+            updated += len(valid)
+            for j in valid:
+                crows, path = children[j]
                 mean = float(r[crows].mean())
                 r[crows] -= mean
                 drop += len(crows) * mean * mean
-                trees[st.tree].append((node.constraints + (constraint,), mean))
+                trees[st.tree].append((path, mean))
                 changed_rows.append(crows)
             splittable = [
-                ch
-                for ch in children
-                if len(ch[0]) > split_min and node.depth + 1 < hp.max_depth
+                ch for ch in children if node_valid_for_split(len(ch[0]), st.depth + 1, hp)
             ]
             if splittable:
-                pending.append((node, cache, splittable))
+                pending.append((cache, splittable))
 
         if not updated:
             continue
@@ -662,21 +684,15 @@ def grow(
         touched[owner[np.concatenate(changed_rows)]] = True
         for sid2 in np.flatnonzero(touched[:-1]).tolist():
             sets[sid2].fresh = False
-        for node, cache, splittable in pending:
+        for cache, splittable in pending:
             items = []
-            for crows, constraint in splittable:
+            for crows, path in splittable:
                 ccache = scorer.child_cache(cache, crows)
-                cnode = NodeRef(
-                    st.tree,
-                    node.depth + 1,
-                    crows,
-                    node.constraints + (constraint,),
-                    s_index,
-                )
-                items.append((cnode, ccache))
-            cells = scorer.set_cells([cc for _, cc in items])
-            sets[next_id] = _SetState(next_id, st.tree, node.depth + 1, s_index, items, cells)
-            for _, cc in items:
+                ccache.path = path
+                items.append(ccache)
+            cells = scorer.set_cells(items)
+            sets[next_id] = _SetState(next_id, st.tree, st.depth + 1, s_index, items, cells)
+            for cc in items:
                 owner[cc.rows, st.tree] = next_id
             next_id += 1
 

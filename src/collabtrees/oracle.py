@@ -4,8 +4,7 @@ Given an explicit joint law over binary feature groups and a regression
 table, these routines enumerate the support to compute projected additive
 effects, pairwise interaction effects, and the greedy residual-projection
 path that training approximates: first single groups, then pairs constrained
-by which root selections remain unconsumed.  A brute-force split-score
-reference with explicit loops backs the fast scoring code.
+by which root selections remain unconsumed.
 """
 
 from __future__ import annotations
@@ -257,51 +256,6 @@ def matching_pursuit_path(dist: DiscreteDistribution, spec: RegressionSpec, K: i
         residual_tables=tuple(tables),
         consumed_roots=tuple(consumed),
     )
-
-
-def brute_force_split_score(
-    x: np.ndarray, residuals: np.ndarray, rows: Sequence[int], columns: Sequence[int]
-) -> float:
-    """Direct split-score evaluation with explicit loops (test reference).
-
-    Multi-column groups: raw sum of squared residuals minus within-child
-    centered sums.  Single columns: exhaustive enumeration of cuts at observed
-    values with both children nonempty, scored against the node-centered sum
-    of squares; zero when no such cut exists.
-    """
-    rows = list(rows)
-    if len(rows) > 2000:
-        raise ArgumentError("brute-force reference is limited to 2000 rows")
-    if len(rows) == 0:
-        return 0.0
-    columns = list(columns)
-    if len(columns) > 1:
-        total = 0.0
-        for i in rows:
-            total += residuals[i] ** 2
-        for j in columns:
-            child = [i for i in rows if x[i, j] > 0]
-            if child:
-                mean = sum(residuals[i] for i in child) / len(child)
-                for i in child:
-                    total -= (residuals[i] - mean) ** 2
-        return total
-    col = columns[0]
-    node_mean = sum(residuals[i] for i in rows) / len(rows)
-    node_ss = sum((residuals[i] - node_mean) ** 2 for i in rows)
-    best = 0.0
-    for a in rows:
-        c = x[a, col]
-        above = [i for i in rows if x[i, col] > c]
-        below = [i for i in rows if x[i, col] <= c]
-        if not above or not below:
-            continue
-        within = 0.0
-        for child in (above, below):
-            mean = sum(residuals[i] for i in child) / len(child)
-            within += sum((residuals[i] - mean) ** 2 for i in child)
-        best = max(best, node_ss - within)
-    return best
 
 
 def save_table(path, dist: DiscreteDistribution, spec: RegressionSpec) -> None:

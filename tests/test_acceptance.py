@@ -32,14 +32,14 @@ from collabtrees.oracle import (
     _variance,
     additive_effect,
     binary_schema,
-    brute_force_split_score,
     independent_groups,
     interaction_effect,
     matching_pursuit_path,
 )
-from collabtrees.splitter import split_score_group, split_score_single
 from collabtrees.xmdi import XmdiMatrix, attributed_total, compute_xmdi, ensemble_xmdi, overall_importance
+from reference import brute_force_split_score
 from test_forest import replay_drops
+from test_splitter import production_scores
 
 THREADS = min(2, os.cpu_count() or 1)
 
@@ -111,13 +111,12 @@ def test_criterion_01_split_score_oracle_equivalence():
         x[:, gs + 1] = np.round(rng.normal(size=n), 2)
         r = rng.normal(size=n)
         rows = np.arange(n)
-        got = split_score_group(x, r, rows, tuple(range(gs)))
-        want = brute_force_split_score(x, r, rows, tuple(range(gs)))
-        worst = max(worst, abs(got - want))
-        for col in (gs, gs + 1):
-            got_s, _ = split_score_single(x[:, col], r, rows)
-            want_s = brute_force_split_score(x, r, rows, (col,))
-            worst = max(worst, abs(got_s - want_s))
+        # The production scorer, through _score_set: the one-hot group, the
+        # binary column and the continuous column, in that order.
+        got, _ = production_scores(x, r, gs)
+        want = [brute_force_split_score(x, r, rows, cols)
+                for cols in (tuple(range(gs)), (gs,), (gs + 1,))]
+        worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.time() - t0
     report(
         1,

@@ -222,6 +222,20 @@ def test_train_rejects_infinite_values(tmp_path, capsys, bad_row, column):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_train_rejects_huge_response(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data.csv"
+    x, y = rng.normal(size=50).tolist(), (rng.normal(size=50) * 1e160).tolist()
+    rows = [f"{v!r},{w!r}" for v, w in zip(x, y)]
+    data.write_text("\n".join(["x,y", *rows]) + "\n")
+    roles = tmp_path / "roles.txt"
+    roles.write_text("x = continuous\ny = response\n")
+    assert run("train", "--input", data, "--schema", roles, "--output", tmp_path / "m.json") == 2
+    line = _single_error_line(capsys)
+    assert line.startswith("error:data:") and "'y' is too large" in line
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_short_csv_row_reports_its_line(tmp_path, capsys, toy):
     _, roles = toy
     data = tmp_path / "short.csv"

@@ -168,6 +168,19 @@ def test_encode_missing_response_rejected():
         encode(table, schema)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_encode_huge_response_rejected(scale):
+    """Finite responses whose n * sum of squared deviations overflows would
+    make every split score inf or NaN."""
+    y = np.random.default_rng(0).normal(size=50) * scale
+    table = {"x": np.arange(50.0), "y": y}
+    schema = build_schema(table, {"x": "continuous", "y": "response"})
+    with pytest.raises(DataError, match="'y' is too large"):
+        encode(table, schema)
+    table["y"] = y / scale * 1e150  # n * sum of squares near 1e303: accepted
+    assert np.isfinite(encode(table, schema).y).all()
+
+
 def test_onehot_row_sums_and_roundtrip():
     rng = np.random.default_rng(3)
     n = 200

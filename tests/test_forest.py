@@ -23,7 +23,7 @@ from collabtrees.forest import (
     predict_model,
 )
 from collabtrees.oracle import binary_schema
-from collabtrees.splitter import NodeRef, split_score_group, split_score_single
+from reference import split_score_group, split_score_single
 
 
 def binary_dataset(x, y):
@@ -56,23 +56,20 @@ def replay_drops(model, x, y):
 
 def test_node_valid_for_split_rules():
     hp = Hyperparams(min_samples_split=5, min_samples_leaf=30, max_depth=math.inf)
-    node = NodeRef(0, 2, np.arange(31), (), None)
-    assert node_valid_for_split(node, hp)
-    assert not node_valid_for_split(NodeRef(0, 2, np.arange(30), (), None), hp)
+    assert node_valid_for_split(31, 2, hp)
+    assert not node_valid_for_split(30, 2, hp)
     capped = Hyperparams(min_samples_split=0, min_samples_leaf=0, max_depth=3)
-    assert not node_valid_for_split(NodeRef(0, 3, np.arange(100), (), None), capped)
+    assert not node_valid_for_split(100, 3, capped)
+    assert node_valid_for_split(100, 2, capped)
 
 
 def test_children_valid_for_update_rules():
-    def kids(*sizes):
-        return [NodeRef(0, 1, np.arange(s), (), None) for s in sizes]
-
     hp5 = Hyperparams(min_samples_leaf=5)
-    got = children_valid_for_update(kids(12, 8, 0), hp5)
-    assert [c.size for c in got] == [12, 8]
-    assert children_valid_for_update(kids(12, 3), hp5) == ()
+    assert children_valid_for_update([12, 8, 0], hp5) == (0, 1)
+    assert children_valid_for_update([0, 12, 6], hp5) == (1, 2)
+    assert children_valid_for_update([12, 3], hp5) == ()
     hp0 = Hyperparams(min_samples_leaf=0)
-    assert len(children_valid_for_update(kids(1, 1, 1), hp0)) == 3
+    assert children_valid_for_update([1, 1, 1], hp0) == (0, 1, 2)
 
 
 def test_grow_perfect_split():
@@ -181,7 +178,7 @@ def test_root_first_ordering():
 
 def score_one_node(scorer, cache, r):
     """Scores and cuts of one node, scored as a set of its own."""
-    st = _SetState(0, 0, 0, None, [(None, cache)], scorer.set_cells([cache]))
+    st = _SetState(0, 0, 0, None, [cache], scorer.set_cells([cache]))
     _score_set(scorer, st, r)
     return st.scores, st.cuts[0]
 

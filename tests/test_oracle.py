@@ -9,7 +9,6 @@ from collabtrees.oracle import (
     RegressionSpec,
     additive_effect,
     binary_schema,
-    brute_force_split_score,
     independent_groups,
     interaction_effect,
     load_table,
@@ -17,6 +16,7 @@ from collabtrees.oracle import (
     population_g,
     save_table,
 )
+from reference import brute_force_split_score
 
 
 def fair_coins(p):

@@ -57,7 +57,7 @@ def reference_score_set(scorer, st, r):
     node scores added in node order."""
     scores = np.zeros(scorer.n_groups)
     cuts = np.empty((len(st.items), scorer.n_groups))
-    for i, (_, cache) in enumerate(st.items):
+    for i, cache in enumerate(st.items):
         sc, ct = reference_score_node(scorer, cache, r)
         scores += sc
         cuts[i] = ct
@@ -68,7 +68,7 @@ def reference_score_set(scorer, st, r):
 
 
 def _new_set(scorer, caches):
-    return _SetState(0, 0, 1, None, [(None, c) for c in caches], scorer.set_cells(caches))
+    return _SetState(0, 0, 1, None, list(caches), scorer.set_cells(caches))
 
 
 def _assert_scores_match(scorer, caches, r):
@@ -162,20 +162,28 @@ def test_models_match_per_node_reference(kind, monkeypatch):
 
 
 class _ArgmaxSpy:
-    """A generator that, each time ``grow`` draws among its argmax ties,
-    rescores every allowed set and checks the ties against that rescoring."""
+    """A generator that, each time ``grow``'s selection draws among its argmax
+    ties, rescores every allowed set and checks the ties against that
+    rescoring.  The draw is made in ``forest._select``, which forms the ties;
+    ``grow``, one frame up, holds the sets.  At the next draw it checks that
+    ``grow`` split the drawn pair."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
         self.rounds = 0
         self.pruned = 0
+        self.drawn = None
 
     def choice(self, *args, **kwargs):
         return self._rng.choice(*args, **kwargs)
 
     def integers(self, *args, **kwargs):
-        loc = sys._getframe(1).f_locals
+        caller = sys._getframe(1)
+        assert caller.f_code is forest._select.__code__
+        sel, loc = caller.f_locals, caller.f_back.f_locals
         scorer, sets, r = loc["scorer"], loc["sets"], loc["r"]
+        if self.drawn is not None:
+            assert self.drawn[0] not in sets and loc["mhat"] == self.drawn[1]
         full = {}
         for sid in loc["allowed"]:
             st = sets[sid]
@@ -188,10 +196,14 @@ class _ArgmaxSpy:
                 self.pruned += 1
         best = max(s.max() for s in full.values())
         ties = [(sid, int(g)) for sid, s in full.items() for g in np.flatnonzero(s == best)]
+        fresh, n_groups = loc["fresh"], scorer.n_groups
         assert loc["best"] == best
-        assert loc["ties"] == ties
+        assert sel["s"].max() == best
+        assert [(fresh[i // n_groups], int(i % n_groups)) for i in sel["ties"]] == ties
         self.rounds += 1
-        return self._rng.integers(*args, **kwargs)
+        k = self._rng.integers(*args, **kwargs)
+        self.drawn = ties[k]
+        return k
 
 
 @pytest.mark.parametrize("kind", ["raw", "binned", "mixed"])

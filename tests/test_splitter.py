@@ -1,30 +1,19 @@
-"""Split scores, update priority, selection; brute-force equivalence."""
+"""Split scores, update priority, selection; brute-force equivalence.
+
+The update priority (``forest._allowed``) and the selection rule
+(``forest._select``) are checked against the reference penalty and closed
+forms; the reference scorers against the brute force and the production
+scorer.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from collabtrees.errors import ArgumentError
-from collabtrees.oracle import brute_force_split_score
-from collabtrees.splitter import (
-    AssociatedSet,
-    NodeRef,
-    penalty,
-    priority_penalties,
-    score_candidates,
-    select_update,
-    selection_probabilities,
-    split_score_group,
-    split_score_single,
-)
-
-
-def make_set(depth, n_nodes=1):
-    nodes = tuple(
-        NodeRef(0, depth, np.arange(4), (), None) for _ in range(n_nodes)
-    )
-    return AssociatedSet(nodes)
+from collabtrees.core import KIND_BINARY, KIND_CONTINUOUS, KIND_ONEHOT, FeatureSchema, GroupSpec
+from collabtrees.forest import _allowed, _Scorer, _score_set, _select, _SetState
+from reference import brute_force_split_score, penalty, split_score_group, split_score_single
 
 
 def test_group_score_two_onehot_columns():
@@ -89,59 +78,75 @@ def test_single_score_tie_breaks_to_smallest_cut():
 
 
 def test_penalty_examples():
-    root, d1, d3 = make_set(0), make_set(1), make_set(3)
-    assert penalty([root, d1], d1) == math.inf
-    assert penalty([root], root) == 0.0
-    assert penalty([d1, d3], d3) == math.inf
-    assert penalty([d1, d3], d1) == 0.0
+    assert penalty([0, 1], 1) == math.inf
+    assert penalty([0], 0) == 0.0
+    assert penalty([1, 3], 3) == math.inf
+    assert penalty([1, 3], 1) == 0.0
+    assert _allowed(np.array([0, 1])).tolist() == [True, False]
+    assert _allowed(np.array([1, 3])).tolist() == [True, False]
+    assert _allowed(np.array([2, 3, 5])).tolist() == [True, True, True]
 
 
 def test_priority_penalties_matches_scalar():
     rng = np.random.default_rng(0)
     for _ in range(50):
         depths = rng.integers(0, 4, size=rng.integers(1, 8))
-        sets = [make_set(int(d)) for d in depths]
-        vec = priority_penalties(depths)
-        for s, expected in zip(sets, vec):
-            assert penalty(sets, s) == expected
+        for d, ok in zip(depths.tolist(), _allowed(depths)):
+            assert ok == (penalty(depths.tolist(), d) == 0.0)
 
 
 def test_priority_totality():
     rng = np.random.default_rng(1)
     for _ in range(100):
         depths = rng.integers(0, 5, size=rng.integers(1, 10))
-        assert (priority_penalties(depths) == 0).any()
+        assert _allowed(depths).any()
+
+
+class _RecordingRng:
+    """Records what ``_select`` asks of its generator and returns index 0."""
+
+    def integers(self, high):
+        self.high = high
+        return 0
+
+    def choice(self, n, p):
+        self.n, self.p = n, p
+        return 0
 
 
 def test_select_update_symmetric_tie():
     rng = np.random.default_rng(123)
     counts = [0, 0]
     for _ in range(10_000):
-        counts[select_update(np.array([5.0, 5.0]), np.zeros(2), math.inf, rng)] += 1
+        counts[_select(np.array([[5.0], [5.0]]), math.inf, rng)] += 1
     assert abs(counts[0] / 10_000 - 0.5) < 0.05
+    # Ties are listed in (set, group) order and drawn with one integers call.
+    rec = _RecordingRng()
+    scores = np.array([[1.0, 7.0, 7.0], [7.0, 0.0, 2.0]])
+    assert _select(scores, math.inf, rec) == 1 and rec.high == 3
 
 
 def test_selection_probabilities_small_alpha_closed_form():
-    probs = selection_probabilities(np.array([1.0, 2.0]), np.zeros(2), 0.001)
+    rec = _RecordingRng()
+    assert _select(np.array([[1.0, 2.0]]), 0.001, rec) == 0
     expected = np.exp([0.001, 0.002])
     expected /= expected.sum()
-    assert probs == pytest.approx([0.49975, 0.50025], abs=1e-6)
-    assert probs == pytest.approx(expected, abs=1e-12)
+    assert rec.n == 2
+    assert rec.p == pytest.approx([0.49975, 0.50025], abs=1e-6)
+    assert rec.p == pytest.approx(expected, abs=1e-12)
 
 
 def test_select_update_never_picks_penalized():
+    """Composed as ``grow`` composes them: the priority rule keeps the deeper
+    set out of the score matrix, however high it scores."""
     rng = np.random.default_rng(7)
-    scores = np.array([1.0, 2.0, 100.0])
-    penalties = np.array([0.0, 0.0, math.inf])
+    depths = np.array([1, 1, 2])
+    scores = np.array([[1.0], [2.0], [100.0]])
+    allowed = np.flatnonzero(_allowed(depths))
+    assert allowed.tolist() == [0, 1]
     for alpha in (10.0, math.inf):
         for _ in range(10_000):
-            assert select_update(scores, penalties, alpha, rng) != 2
-    assert selection_probabilities(scores, penalties, 10.0)[2] == 0.0
-
-
-def test_select_update_all_penalized_rejected():
-    with pytest.raises(ArgumentError):
-        select_update(np.array([1.0]), np.array([math.inf]), math.inf, np.random.default_rng(0))
+            assert allowed[_select(scores[allowed], alpha, rng)] != 2
 
 
 def _random_instance(rng):
@@ -184,15 +189,31 @@ def test_scores_nonnegative_and_scale_equivariant():
         assert s2 == pytest.approx(c * c * s1, rel=1e-9, abs=1e-9)
 
 
+def production_scores(x, r, gs):
+    """Scores and cuts of the whole of ``x`` as one node, by the production
+    scorer through ``_score_set``: a one-hot group on columns ``0..gs-1``,
+    then a binary column and a continuous one."""
+    schema = FeatureSchema((
+        GroupSpec("g", KIND_ONEHOT, tuple(range(gs)), categories=tuple(map(str, range(gs)))),
+        GroupSpec("b", KIND_BINARY, (gs,)),
+        GroupSpec("c", KIND_CONTINUOUS, (gs + 1,)),
+    ))
+    scorer = _Scorer(x, schema)
+    root = scorer.root_cache()
+    st = _SetState(0, 0, 0, None, [root], scorer.set_cells([root]))
+    _score_set(scorer, st, r)
+    return st.scores, st.cuts[0]
+
+
 def test_score_candidates_wraps_scalar_ops():
     rng = np.random.default_rng(4)
-    x, r, rows, gs = _random_instance(rng)
-    node = NodeRef(0, 0, rows, (), None)
-    update_list = [AssociatedSet((node,))]
-    group_columns = [tuple(range(gs)), (gs,), (gs + 1,)]
-    cands = score_candidates(x, r, update_list, group_columns)
-    assert len(cands) == 3
-    assert cands[0].score == pytest.approx(split_score_group(x, r, rows, tuple(range(gs))))
-    s, cut = split_score_single(x[:, gs], r, rows)
-    assert cands[1].score == pytest.approx(s)
-    assert cands[1].cut_points == (cut,)
+    for _ in range(20):
+        x, r, rows, gs = _random_instance(rng)
+        scores, cuts = production_scores(x, r, gs)
+        assert scores[0] == pytest.approx(split_score_group(x, r, rows, tuple(range(gs))),
+                                          rel=1e-9, abs=1e-9)
+        for m, col in ((1, gs), (2, gs + 1)):
+            s, cut = split_score_single(x[:, col], r, rows)
+            assert scores[m] == pytest.approx(s, rel=1e-9, abs=1e-9)
+            if np.unique(x[rows, col]).size > 1:  # a constant column has no cut to compare
+                assert cuts[m] == cut
