@@ -217,7 +217,9 @@ def encode_features(table: dict[str, np.ndarray], schema: FeatureSchema) -> np.n
     if len(lengths) != 1:
         raise DataError("raw columns have unequal lengths")
     n = lengths.pop()
-    x = np.zeros((n, schema.n_columns), dtype=float)
+    # Filled column by column as the (p, n) transpose, where a column is one
+    # contiguous write, then copied once into the C-order (n, p) matrix.
+    xt = np.zeros((schema.n_columns, n), dtype=float)
     for g in schema.groups:
         if g.name not in table:
             raise DataError(f"column {g.name!r} missing from the data")
@@ -226,19 +228,19 @@ def encode_features(table: dict[str, np.ndarray], schema: FeatureSchema) -> np.n
             col = _as_float_column(g.name, values)
             if g.kind == KIND_BINARY and not ((col == 0.0) | (col == 1.0)).all():
                 raise DataError(f"binary column {g.name!r} has values outside {{0, 1}}")
-            x[:, g.column_indices[0]] = col
+            xt[g.column_indices[0]] = col
         elif g.kind == KIND_BINNED:
             col = _as_float_column(g.name, values)
             idx = bin_index(col, g.bin_edges)
-            x[np.arange(n), np.asarray(g.column_indices)[idx]] = 1.0
+            xt[np.asarray(g.column_indices)[idx], np.arange(n)] = 1.0
         elif g.kind == KIND_ONEHOT:
             lookup = {c: j for j, c in enumerate(g.categories)}
             for i, v in enumerate(values):
                 j = lookup.get(str(v))
                 if j is None:
                     raise DataError(f"unseen level {v!r} in column {g.name!r}")
-                x[i, g.column_indices[j]] = 1.0
-    return x
+                xt[g.column_indices[j], i] = 1.0
+    return np.ascontiguousarray(xt.T)
 
 
 def encode(table: dict[str, np.ndarray], schema: FeatureSchema) -> EncodedDataset:

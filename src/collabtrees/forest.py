@@ -20,8 +20,12 @@ gathered for its rows, and 0/1 columns are read from the shared matrix.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -807,6 +811,51 @@ def _pool_task(b):
     return _grow_member(dataset, schema, hp, seed, b)
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS, loaded with ``ctypes``, or None when the
+    wheel's ``numpy.libs`` directory holds none.  Loading a library numpy has
+    loaded already returns that same library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
+    return None
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The (get, set) calls of the BLAS thread count numpy uses, or None when
+    the library or either symbol is missing.  Looked up on first use only, so
+    that importing the package and in-process training never pay for it."""
+    lib = _openblas()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or put is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int):
+    """Run the block with numpy's BLAS on ``n`` threads, then restore the
+    caller's count, also when the block raises.  A no-op without the calls."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(n)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def grow_ensemble(
     dataset: EncodedDataset,
     schema: FeatureSchema,
@@ -818,6 +867,13 @@ def grow_ensemble(
 
     Member ``b`` draws a size-n bootstrap with an RNG derived from
     ``(seed, b)``, so results are identical whatever the worker count.
+
+    ``threads`` is the one budget for training.  With ``threads > 1`` and
+    more than one member, ``workers = min(threads, n_estimators)`` processes
+    are forked, and each runs numpy's BLAS on ``max(1, threads // workers)``
+    threads; the caller's BLAS thread count is restored once the pool is
+    done.  Otherwise the members grow in this process and the caller's BLAS
+    setting is left alone.
     """
     if threads < 1:
         raise ConfigError("threads must be at least 1")
@@ -825,8 +881,13 @@ def grow_ensemble(
         seed = hp.seed
     B = hp.n_estimators
     if threads > 1 and B > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(threads, B),
+        workers = min(threads, B)
+        # Forked workers inherit the parent's BLAS thread count, so it is set
+        # here, before the fork: set in each worker, it cost the worker's first
+        # member about 80 ms (2 cores, numpy 2.4 on OpenBLAS 0.3.31).  Left at OpenBLAS's default, every worker would
+        # run as many BLAS threads as there are cores, on the same cores.
+        with _blas_threads(max(1, threads // workers)), concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
             initializer=_pool_init,
             initargs=(dataset, schema, hp, seed),
         ) as pool:

@@ -193,6 +193,7 @@ def test_onehot_row_sums_and_roundtrip():
     roles = {"cont": "continuous", "cat": "categorical", "b": "binary", "y": "response"}
     schema = build_schema(table, roles, n_bins=4)
     ds = encode(table, schema)
+    assert ds.x.flags.c_contiguous  # row gathers and matrix products rely on it
     for g in schema.groups:
         if g.size > 1:
             sums = ds.x[:, list(g.column_indices)].sum(axis=1)

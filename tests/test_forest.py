@@ -8,6 +8,7 @@ import pytest
 
 from collabtrees.core import EncodedDataset, build_schema, encode
 from collabtrees.datagen import CopulaConfig, gaussian_copula_ar1, matrix_to_table, model_y1
+from collabtrees import forest
 from collabtrees.errors import ConfigError, DataError
 from collabtrees.forest import (
     EnsembleModel,
@@ -377,6 +378,80 @@ def test_grow_ensemble_parallel_matches_serial():
     assert np.array_equal(predict_ensemble(serial, ds.x), predict_ensemble(parallel, ds.x))
     for m1, m2 in zip(serial.models, parallel.models):
         assert m1.rounds == m2.rounds
+
+
+def _wide_binary_problem(n=3_000, p=60, seed=0):
+    """Fair-coin 0/1 features with one main and one interaction effect; every
+    root and depth-one node holds over a quarter of the rows, so ``_bin_sums``
+    takes the product over the whole matrix, and that product (n * p cells)
+    is large enough for OpenBLAS to split it across threads."""
+    rng = np.random.default_rng(seed)
+    x = (rng.random((n, p)) < 0.5).astype(float)
+    y = x[:, 0] + x[:, 1] * x[:, 2] + rng.normal(size=n)
+    return binary_dataset(x, y - y.mean()), binary_schema(p)
+
+
+def _blas_thread_count():
+    """The call that reads numpy's BLAS thread count; skips where it is missing."""
+    calls = forest._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's bundled OpenBLAS thread calls are not available")
+    return calls[0]
+
+
+def test_wide_binary_models_ignore_blas_threads_and_pool():
+    get = _blas_thread_count()
+    ds, schema = _wide_binary_problem()
+    hp = Hyperparams(n_estimators=2, n_trees=3, max_depth=2, min_samples_split=10, seed=5)
+    grown = {}
+    for n in (1, 2):
+        with forest._blas_threads(n):
+            assert get() == n
+            grown[n] = grow_ensemble(ds, schema, hp, threads=1)
+    pooled = grow_ensemble(ds, schema, hp, threads=2)
+    for ens in (grown[2], pooled):
+        for want, got in zip(grown[1].models, ens.models):
+            assert got.rounds == want.rounds
+            assert got.trees == want.trees
+
+
+@pytest.mark.parametrize("threads, members, per_worker", [(2, 4, 1), (4, 2, 2)])
+def test_grow_ensemble_restores_caller_blas_threads(monkeypatch, threads, members, per_worker):
+    get = _blas_thread_count()
+    ds, schema = _wide_binary_problem(n=200, p=4)
+    hp = Hyperparams(n_estimators=members, n_trees=2, max_depth=2, seed=1)
+
+    def report_blas_threads(*args):
+        raise RuntimeError(f"member BLAS threads {get()}")
+
+    with forest._blas_threads(3):
+        grow_ensemble(ds, schema, hp, threads=threads)
+        assert get() == 3
+        monkeypatch.setattr(forest, "_grow_member", report_blas_threads)
+        with pytest.raises(RuntimeError, match=f"member BLAS threads {per_worker}$"):
+            grow_ensemble(ds, schema, hp, threads=threads)
+        assert get() == 3
+        with pytest.raises(RuntimeError, match="member BLAS threads 3$"):
+            grow_ensemble(ds, schema, hp, threads=1)
+        assert get() == 3
+
+
+@pytest.mark.parametrize("library", [None, object()])
+def test_missing_blas_thread_calls_are_a_no_op(monkeypatch, library):
+    ds, schema = _wide_binary_problem(n=200, p=4)
+    hp = Hyperparams(n_estimators=2, n_trees=2, max_depth=2, seed=1)
+    forest._blas_thread_calls.cache_clear()
+    monkeypatch.setattr(forest, "_openblas", lambda: library)
+    try:
+        assert forest._blas_thread_calls() is None
+        pooled = grow_ensemble(ds, schema, hp, threads=2)
+    finally:
+        monkeypatch.undo()
+        forest._blas_thread_calls.cache_clear()
+    serial = grow_ensemble(ds, schema, hp, threads=1)
+    for want, got in zip(serial.models, pooled.models):
+        assert got.rounds == want.rounds
+        assert got.trees == want.trees
 
 
 @pytest.mark.parametrize("threads", [0, -3])

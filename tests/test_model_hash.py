@@ -20,7 +20,13 @@ def test_same_seed_gives_same_digests():
     assert len(first) == 8 and len(set(first)) == 8
     assert all(len(d) == 64 for d in first)
     assert model_hash.member_digests("bagged-mixed", 1) == first
+    assert model_hash.member_digests("bagged-mixed", 1, threads=2) == first
     assert set(model_hash.member_digests("bagged-mixed", 2)).isdisjoint(first)
+
+
+def test_rejects_a_thread_budget_below_one(capsys):
+    assert model_hash.main(["--workloads", "bagged-mixed", "--seeds", "1", "--threads", "0"]) == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_digest_sees_one_ulp_and_ignores_scalar_types():

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py PARENT LABEL --workloads W [W ...] --seeds S [S ...] --seconds 25
 
-PARENT is any git revision; it is checked out with ``git worktree add`` in a
+PARENT is any git revision; its files are unpacked with ``git archive`` into a
 temporary directory, which is removed on exit.  For every workload and seed,
 ``perfbench/run.py --trace 0`` runs once on each side, one run at a time: the
 parent first on odd seeds, the working tree first on even ones.  A seed may be
@@ -136,35 +136,33 @@ def main(argv=None) -> int:
     workloads, env = {}, None
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_tree), parent_commit)
-        try:
-            for workload in args.workloads:
-                runs = {"parent": [], "change": []}
-                for seed in seeds:
-                    order = ("parent", "change") if seed % 2 else ("change", "parent")
-                    for side in order:
-                        out = run_side(parent_tree if side == "parent" else ROOT, workload,
-                                       seed, args.seconds)
-                        env = env or out["env"]
-                        runs[side].append(out["result"])
-                        train = out["result"]["metrics"]["train_s"]["value"]
-                        print(f"{workload} seed {seed} {side}: train_s {train:.4g}", file=sys.stderr)
-                metrics = {}
-                for m in spec["end_to_end"]:
-                    values = {side: [r["metrics"][m["name"]]["value"] for r in rs]
-                              for side, rs in runs.items()}
-                    metrics[m["name"]] = compare(values["parent"], values["change"], m["bound"],
-                                                 m["better"] == "lower")
-                workloads[workload] = {
-                    "seeds": seeds,
-                    "correct_runs": {s: sum(r["correct"] for r in rs) for s, rs in runs.items()},
-                    "failed_ops": {s: sum(r["failed"] for r in rs) for s, rs in runs.items()},
-                    "metrics": metrics,
-                }
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(parent_tree)], capture_output=True)
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent_commit], check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
+        for workload in args.workloads:
+            runs = {"parent": [], "change": []}
+            for seed in seeds:
+                order = ("parent", "change") if seed % 2 else ("change", "parent")
+                for side in order:
+                    out = run_side(parent_tree if side == "parent" else ROOT, workload,
+                                   seed, args.seconds)
+                    env = env or out["env"]
+                    runs[side].append(out["result"])
+                    train = out["result"]["metrics"]["train_s"]["value"]
+                    print(f"{workload} seed {seed} {side}: train_s {train:.4g}", file=sys.stderr)
+            metrics = {}
+            for m in spec["end_to_end"]:
+                values = {side: [r["metrics"][m["name"]]["value"] for r in rs]
+                          for side, rs in runs.items()}
+                metrics[m["name"]] = compare(values["parent"], values["change"], m["bound"],
+                                             m["better"] == "lower")
+            workloads[workload] = {
+                "seeds": seeds,
+                "correct_runs": {s: sum(r["correct"] for r in rs) for s, rs in runs.items()},
+                "failed_ops": {s: sum(r["failed"] for r in rs) for s, rs in runs.items()},
+                "metrics": metrics,
+            }
 
     code = f"working tree at {head}" + (" with uncommitted changes" if dirty else "")
     report = {

@@ -1,13 +1,15 @@
 """Print a SHA-256 digest of every member trained on the benchmark workloads.
 
-    python3 tools/model_hash.py --workloads W [W ...] --seeds S [S ...] [--src DIR]
+    python3 tools/model_hash.py --workloads W [W ...] --seeds S [S ...] [--threads N] [--src DIR]
 
 Each workload's inputs come from ``perfbench/workloads.py`` and are trained as
-the benchmark trains them (``build_schema``, ``encode``, ``grow_ensemble``;
-in-process, since the worker count does not change the models).  Each output
-line reads ``WORKLOAD SEED MEMBER DIGEST``.  A digest covers the member's
-``rounds`` and ``trees`` exactly, every float by its hex form, so two library
-versions that print the same lines grow bit-identical models.  ``--src``
+the benchmark trains them (``build_schema``, ``encode``, ``grow_ensemble``),
+with ``threads=N`` (default 1: in-process), so that pooled ensembles, whose
+workers run BLAS on their share of the threads, can be compared with
+in-process ones and across versions.  Each output line reads
+``WORKLOAD SEED MEMBER DIGEST``.  A digest covers the member's ``rounds`` and
+``trees`` exactly, every float by its hex form, so two library versions that
+print the same lines grow bit-identical models.  ``--src``
 names the ``src`` directory to import the library from (default: this
 repository's); a seed may be given as a range ``A-B``.
 """
@@ -51,8 +53,9 @@ def digest(model) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def member_digests(workload: str, seed: int) -> list[str]:
-    """Digests of the members of one workload's ensemble, in member order."""
+def member_digests(workload: str, seed: int, threads: int = 1) -> list[str]:
+    """Digests of the members of one workload's ensemble, trained with
+    ``threads``, in member order."""
     # Imported here, so that the caller's sys.path decides which library loads.
     import collabtrees as ct
     from perfbench.workloads import WORKLOADS
@@ -60,7 +63,7 @@ def member_digests(workload: str, seed: int) -> list[str]:
     inputs = WORKLOADS[workload](seed)
     schema = ct.build_schema(inputs.train, inputs.roles, n_bins=inputs.n_bins)
     dataset = ct.encode(inputs.train, schema)
-    ensemble = ct.grow_ensemble(dataset, schema, inputs.hp, threads=1)
+    ensemble = ct.grow_ensemble(dataset, schema, inputs.hp, threads=threads)
     return [digest(m) for m in ensemble.models]
 
 
@@ -68,9 +71,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", nargs="+", required=True, help="seeds or ranges A-B")
+    ap.add_argument("--threads", type=int, default=1,
+                    help="training thread budget passed to grow_ensemble (default 1)")
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="directory holding the collabtrees package to hash")
     args = ap.parse_args(argv)
+    if args.threads < 1:
+        print("error: --threads must be at least 1", file=sys.stderr)
+        return 2
     if not (args.src / "collabtrees" / "__init__.py").is_file():
         print(f"error: no collabtrees package under {args.src}", file=sys.stderr)
         return 2
@@ -84,7 +92,7 @@ def main(argv=None) -> int:
         return 2
     for workload in args.workloads:
         for seed in parse_seeds(args.seeds):
-            for member, text in enumerate(member_digests(workload, seed)):
+            for member, text in enumerate(member_digests(workload, seed, args.threads)):
                 print(workload, seed, member, text, flush=True)
     return 0
 
